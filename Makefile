@@ -45,7 +45,7 @@ analyze: vet
 		echo "analyze: findings recorded in $(ANALYZE_JSON)"; \
 	fi
 	$(GO) run ./cmd/circlelint .
-	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./cmd/circlerouter/ ./internal/detect/ ./internal/ncp/
+	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./cmd/circlerouter/ ./internal/detect/ ./internal/ncp/ ./internal/graph/
 
 # Emits machine-readable benchmark records (one JSON event per line) so
 # runs on different machines/dates can be diffed with benchstat-style
@@ -56,11 +56,12 @@ bench:
 
 # Paper-scale pipeline smoke under the race detector: a small sharded
 # data set through the streaming builder, replay and spill protocols
-# both, plus the builder equivalence/seed-stability suite. Fast enough
-# for CI; the full-size run is bench-scale below.
+# both, plus the builder equivalence (against the sort-based reference
+# build) and seed-stability suites. Fast enough for CI; the full-size
+# run is bench-scale below.
 scale-smoke:
-	$(GO) test -race -run 'TestStreamBuilder|TestGenerateScale' ./internal/graph/ ./internal/synth/
-	$(GO) run ./cmd/synthgen -dataset scale -scale 0.1 -workers 4 -shards 8 \
+	$(GO) test -race -run 'TestStreamBuilder|TestBuilderMatchesReference|TestGenerateScale' ./internal/graph/ ./internal/synth/
+	$(GO) run ./cmd/synthgen -experiments=scale-pipeline -dataset scale -scale 0.1 -workers 4 -shards 8 \
 		-spill-dir $${TMPDIR:-/tmp} -out $${TMPDIR:-/tmp}/gpc-scale-smoke -v
 
 # Record the paper-scale pipeline benchmark. By default the data set is

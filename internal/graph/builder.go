@@ -2,7 +2,7 @@ package graph
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
 // ErrEmptyGraph is returned by Build when no vertices were added.
@@ -29,9 +29,6 @@ func NewBuilder(directed bool) *Builder {
 	}
 }
 
-// Directed reports the edge type the Builder was created with.
-func (b *Builder) Directed() bool { return b.directed }
-
 // AddVertex registers an isolated vertex. Vertices referenced by AddEdge
 // are registered implicitly; AddVertex is only needed for degree-0
 // vertices.
@@ -53,16 +50,12 @@ func (b *Builder) AddEdge(u, v int64) {
 	b.edges = append(b.edges, rawEdge{u: u, v: v})
 }
 
-// NumPendingEdges returns the number of edges added so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
-// NumPendingVertices returns the number of distinct vertices added so far.
-func (b *Builder) NumPendingVertices() int { return len(b.vertices) }
-
 // Build constructs the immutable Graph. External IDs are assigned dense
 // indices in ascending ID order, so construction is deterministic for a
-// given edge multiset regardless of insertion order.
+// given edge multiset regardless of insertion order. The edges are
+// translated to dense indices once and laid out by StreamBuilder's
+// count, place and row-sort core on one goroutine: Build runs inside
+// experiments that already fan out.
 func (b *Builder) Build() (*Graph, error) {
 	if len(b.vertices) == 0 {
 		return nil, ErrEmptyGraph
@@ -72,101 +65,26 @@ func (b *Builder) Build() (*Graph, error) {
 	for id := range b.vertices {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	index := make(map[int64]VID, len(ids))
 	for i, id := range ids {
 		index[id] = VID(i)
 	}
-
-	// Translate, sort and deduplicate edges on dense indices.
 	dense := make([]Edge, len(b.edges))
 	for i, e := range b.edges {
 		dense[i] = Edge{From: index[e.u], To: index[e.v]}
 	}
-	sort.Slice(dense, func(i, j int) bool {
-		if dense[i].From != dense[j].From {
-			return dense[i].From < dense[j].From
-		}
-		return dense[i].To < dense[j].To
-	})
-	dense = dedupEdges(dense)
 
-	g := &Graph{
-		directed: b.directed,
-		ids:      ids,
-		index:    index,
-		m:        int64(len(dense)),
-	}
-	n := len(ids)
-
-	if b.directed {
-		g.outOff, g.outAdj = buildCSR(n, dense, false)
-		g.inOff, g.inAdj = buildCSR(n, dense, true)
-		return g, nil
-	}
-
-	// Undirected: store each edge in both rows; adjacency is symmetric so
-	// the reverse CSR aliases the forward one.
-	sym := make([]Edge, 0, 2*len(dense))
+	sb := newStreamBuilder(b.directed, int64(len(ids)), 1)
 	for _, e := range dense {
-		sym = append(sym, e, Edge{From: e.To, To: e.From})
+		sb.count(e.From, e.To)
 	}
-	sort.Slice(sym, func(i, j int) bool {
-		if sym[i].From != sym[j].From {
-			return sym[i].From < sym[j].From
-		}
-		return sym[i].To < sym[j].To
-	})
-	g.outOff, g.outAdj = buildCSR(n, sym, false)
-	g.inOff, g.inAdj = g.outOff, g.outAdj
-	return g, nil
-}
-
-// dedupEdges removes adjacent duplicates from a sorted edge slice in place.
-func dedupEdges(es []Edge) []Edge {
-	if len(es) == 0 {
-		return es
+	sb.finalizeCounts()
+	for _, e := range dense {
+		sb.place(e.From, e.To)
 	}
-	w := 1
-	for i := 1; i < len(es); i++ {
-		if es[i] != es[w-1] {
-			es[w] = es[i]
-			w++
-		}
-	}
-	return es[:w]
-}
-
-// buildCSR lays out the (already sorted by From, then To) edges as CSR
-// rows. When reverse is true the roles of From and To are swapped and the
-// input is re-sorted accordingly.
-func buildCSR(n int, edges []Edge, reverse bool) ([]int64, []VID) {
-	src := edges
-	if reverse {
-		src = make([]Edge, len(edges))
-		for i, e := range edges {
-			src[i] = Edge{From: e.To, To: e.From}
-		}
-		sort.Slice(src, func(i, j int) bool {
-			if src[i].From != src[j].From {
-				return src[i].From < src[j].From
-			}
-			return src[i].To < src[j].To
-		})
-	}
-	off := make([]int64, n+1)
-	for _, e := range src {
-		off[e.From+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	adj := make([]VID, len(src))
-	for i, e := range src {
-		adj[i] = e.To
-	}
-	return off, adj
+	return sb.assemble(ids, index)
 }
 
 // FromEdges is a convenience constructor building a graph directly from a

@@ -30,8 +30,9 @@ func edgeFingerprint(g *Graph) string {
 
 // FuzzBuilder feeds the Builder arbitrary edge soup — duplicates,
 // self-loops, unordered endpoints — and checks the built graph upholds
-// every structural invariant, then round-trips it through an
-// identity-rewired Overlay and Materialize back to an equal graph.
+// every structural invariant and equals the sort-based reference build,
+// then round-trips it through an identity-rewired Overlay and
+// Materialize back to an equal graph.
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1}, false)
 	f.Add([]byte{0, 0, 1, 1, 2, 2}, true)       // all self-loops
@@ -75,18 +76,10 @@ func FuzzBuilder(f *testing.F) {
 			t.Fatalf("degree sum %d != 2m %d", degSum, 2*g.NumEdges())
 		}
 
-		// The streaming two-pass builder must reproduce Builder's output
-		// bit-for-bit on the same edge soup (sparse interning mode).
-		sb, err := NewStreamBuilder(directed, StreamOptions{})
-		if err != nil {
-			t.Fatalf("NewStreamBuilder: %v", err)
-		}
-		sg, err := streamReplay(sb, pairs)
-		if err != nil {
-			t.Fatalf("stream build rejected input the Builder accepted: %v", err)
-		}
-		if got, want := edgeFingerprint(sg), edgeFingerprint(g); got != want {
-			t.Fatalf("stream builder diverged from Builder:\n got %s\nwant %s", got, want)
+		// The sort-then-dedup reference must agree on the same edge soup.
+		ref := referenceFromPairs(t, directed, 0, pairs)
+		if got, want := edgeFingerprint(g), edgeFingerprint(ref); got != want {
+			t.Fatalf("Builder diverged from the reference build:\n got %s\nwant %s", got, want)
 		}
 
 		// Round-trip: identity overlay -> Materialize must reproduce the

@@ -59,9 +59,10 @@ func (g *Graph) NumEdges() int64 { return g.m }
 func (g *Graph) ExternalID(v VID) int64 { return g.ids[v] }
 
 // Lookup resolves an external data-set ID to a dense vertex index.
-// Graphs built without an interning map (StreamBuilder's dense mode
-// skips it to keep paper-scale graphs at O(n) extra bytes) fall back to
-// binary search over the ascending ids table.
+// Builder and ReadBinary graphs carry an interning map. StreamBuilder
+// graphs, whose IDs are exactly [0, n), skip it to keep paper-scale
+// graphs at O(n) extra bytes and fall back to binary search over the
+// ascending ids table.
 func (g *Graph) Lookup(external int64) (VID, bool) {
 	if g.index != nil {
 		v, ok := g.index[external]

@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,12 +27,12 @@ var (
 
 // StreamOptions configures a StreamBuilder.
 type StreamOptions struct {
-	// DenseVertices > 0 declares the vertex universe up front: external
-	// IDs are exactly [0, DenseVertices), every vertex exists (AddVertex
-	// is unnecessary), no interning map is built, and AddEdge is safe for
-	// concurrent use from multiple goroutines. 0 selects the sparse mode:
-	// arbitrary int64 IDs interned exactly like Builder, single-goroutine
-	// streaming only.
+	// DenseVertices declares the vertex universe up front and must be
+	// positive: external IDs are exactly [0, DenseVertices), every vertex
+	// exists, no interning map is built, and AddEdge is safe for
+	// concurrent use from multiple goroutines. Arbitrary int64 IDs go
+	// through Builder, which interns them and then runs this builder's
+	// layout core.
 	DenseVertices int64
 	// SpillDir, when non-empty, buffers the pass-1 edge stream in
 	// temporary files under that directory and Finish replays them
@@ -53,9 +52,10 @@ type StreamOptions struct {
 // per-vertex degrees, pass 2 writes endpoints straight into the final
 // CSR adjacency. Peak memory is O(n + m·sizeof(VID)) — the offsets,
 // cursors, and the adjacency the Graph keeps anyway — instead of
-// Builder's O(m·16B) raw-edge slice plus vertex-map overhead. For the
-// same edge multiset it produces a Graph bit-identical to Builder's
-// (same dedup, self-loop, ordering, and ID-interning semantics).
+// Builder's O(m·16B) raw-edge buffer plus vertex-map overhead. Builder
+// lays out its interned edges with the same count, place and row-sort
+// core, so for the same edge multiset over [0, n) both produce
+// bit-identical Graphs (same dedup, self-loop and ordering semantics).
 //
 // Protocol (replay mode):
 //
@@ -66,25 +66,18 @@ type StreamOptions struct {
 //	g, err := sb.Finish()
 //
 // Protocol (spill mode): stream once, then Finish; the builder replays
-// its spill files itself. In dense mode concurrent producers either call
-// AddEdge directly (replay mode) or hold one EdgeSink each (spill mode,
-// so spill writes stay unsynchronized). Rewind and Finish must not be
-// called concurrently with AddEdge.
+// its spill files itself. Concurrent producers either call AddEdge
+// directly (replay mode) or hold one EdgeSink each (spill mode, so spill
+// writes stay unsynchronized). Rewind and Finish must not be called
+// concurrently with AddEdge.
 type StreamBuilder struct {
 	directed bool
-	dense    bool
 	workers  int
 
 	pass int32 // 1 = counting, 2 = filling
 
-	// Sparse-mode interning (nil in dense mode). During pass 1 index maps
-	// external ID -> provisional index in first-seen order; Rewind remaps
-	// it to final ascending-ID order.
-	index map[int64]VID
-	ids   []int64
-
-	n      int64   // vertex count (fixed in dense mode, grows in sparse)
-	outCnt []int64 // pass-1 degree counts, indexed by (provisional) vertex
+	n      int64   // vertex count, fixed at construction
+	outCnt []int64 // pass-1 degree counts
 	inCnt  []int64 // directed only
 
 	outOff, inOff   []int64
@@ -92,7 +85,6 @@ type StreamBuilder struct {
 	outAdj, inAdj   []VID
 
 	spillDir   string
-	spillWide  bool // spill records are 2×int64 instead of 2×uint32
 	spillBytes atomic.Int64
 
 	mu          sync.Mutex
@@ -107,36 +99,35 @@ type StreamBuilder struct {
 }
 
 // NewStreamBuilder returns a StreamBuilder for a directed or undirected
-// graph. See StreamOptions for the dense/sparse and spill/replay modes.
+// graph. See StreamOptions for the vertex universe and the spill/replay
+// protocols.
 func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error) {
-	if opts.DenseVertices < 0 || opts.DenseVertices > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: DenseVertices %d outside [0, %d]",
+	if opts.DenseVertices <= 0 || opts.DenseVertices > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: DenseVertices %d outside [1, %d]",
 			ErrStreamRange, opts.DenseVertices, math.MaxInt32)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	sb := newStreamBuilder(directed, opts.DenseVertices, workers)
+	sb.spillDir = opts.SpillDir
+	return sb, nil
+}
+
+// newStreamBuilder allocates the pass-1 counters for n vertices.
+func newStreamBuilder(directed bool, n int64, workers int) *StreamBuilder {
 	sb := &StreamBuilder{
 		directed: directed,
 		workers:  workers,
 		pass:     1,
-		spillDir: opts.SpillDir,
+		n:        n,
+		outCnt:   make([]int64, n),
 	}
-	if opts.DenseVertices > 0 {
-		sb.dense = true
-		sb.n = opts.DenseVertices
-		sb.outCnt = make([]int64, sb.n)
-		if directed {
-			sb.inCnt = make([]int64, sb.n)
-		}
-		// Dense IDs fit in uint32, so spill records are half-width.
-		sb.spillWide = false
-	} else {
-		sb.index = make(map[int64]VID)
-		sb.spillWide = true
+	if directed {
+		sb.inCnt = make([]int64, n)
 	}
-	return sb, nil
+	return sb
 }
 
 // Instrument attaches observability handles: edge counters for each pass
@@ -159,28 +150,9 @@ func (sb *StreamBuilder) takeErr() error {
 	return nil
 }
 
-// AddVertex registers an isolated vertex. In dense mode every vertex in
-// [0, DenseVertices) already exists, so this only validates the range.
-// Sparse mode interns the ID during pass 1 exactly like Builder.
-func (sb *StreamBuilder) AddVertex(id int64) {
-	if sb.dense {
-		if id < 0 || id >= sb.n {
-			sb.setErr(fmt.Errorf("%w: vertex %d with %d dense vertices", ErrStreamRange, id, sb.n))
-		}
-		return
-	}
-	if sb.pass == 1 {
-		sb.intern(id)
-		return
-	}
-	if _, ok := sb.index[id]; !ok {
-		sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, id))
-	}
-}
-
 // AddEdge streams the arc (u,v) (directed) or edge {u,v} (undirected).
 // Self-loops are ignored; duplicates are deduplicated at Finish, matching
-// Builder. In dense replay mode AddEdge is safe for concurrent use; in
+// Builder. In replay mode AddEdge is safe for concurrent use; in
 // spill mode concurrent producers must write through per-goroutine
 // EdgeSinks instead. Errors (range violations, pass-2 mismatches) are
 // latched and reported by Finish.
@@ -214,54 +186,31 @@ func (sb *StreamBuilder) addEdge(u, v int64, sink *EdgeSink) {
 	if u == v {
 		return
 	}
+	if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
+		sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
+		return
+	}
 	if sb.pass == 1 {
-		if sb.dense {
-			if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
-				sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
-				return
-			}
-			atomic.AddInt64(&sb.outCnt[u], 1)
-			if sb.directed {
-				atomic.AddInt64(&sb.inCnt[v], 1)
-			} else {
-				atomic.AddInt64(&sb.outCnt[v], 1)
-			}
-		} else {
-			pu, pv := sb.intern(u), sb.intern(v)
-			sb.outCnt[pu]++
-			if sb.directed {
-				sb.inCnt[pv]++
-			} else {
-				sb.outCnt[pv]++
-			}
-		}
+		sb.count(VID(u), VID(v))
 		sb.mPass1.Inc()
 		if sink != nil {
 			sink.spill(u, v)
 		}
 		return
 	}
-
-	var iu, iv VID
-	if sb.dense {
-		if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
-			sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
-			return
-		}
-		iu, iv = VID(u), VID(v)
-	} else {
-		var ok bool
-		if iu, ok = sb.index[u]; !ok {
-			sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, u))
-			return
-		}
-		if iv, ok = sb.index[v]; !ok {
-			sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, v))
-			return
-		}
-	}
-	sb.place(iu, iv)
+	sb.place(VID(u), VID(v))
 	sb.mPass2.Inc()
+}
+
+// count adds one edge to the pass-1 degree counts. Counters advance
+// atomically so concurrent producers may count in parallel.
+func (sb *StreamBuilder) count(iu, iv VID) {
+	atomic.AddInt64(&sb.outCnt[iu], 1)
+	if sb.directed {
+		atomic.AddInt64(&sb.inCnt[iv], 1)
+	} else {
+		atomic.AddInt64(&sb.outCnt[iv], 1)
+	}
 }
 
 // place writes one edge into the CSR rows reserved by pass 1. Cursors
@@ -270,14 +219,14 @@ func (sb *StreamBuilder) addEdge(u, v int64, sink *EdgeSink) {
 func (sb *StreamBuilder) place(iu, iv VID) {
 	pos := atomic.AddInt64(&sb.outNext[iu], 1) - 1
 	if pos >= sb.outOff[iu+1] {
-		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, sb.externalOf(iu)))
+		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, iu))
 		return
 	}
 	sb.outAdj[pos] = iv
 	if sb.directed {
 		pos = atomic.AddInt64(&sb.inNext[iv], 1) - 1
 		if pos >= sb.inOff[iv+1] {
-			sb.setErr(fmt.Errorf("%w: vertex %d receives more in-edges than counted", ErrStreamMismatch, sb.externalOf(iv)))
+			sb.setErr(fmt.Errorf("%w: vertex %d receives more in-edges than counted", ErrStreamMismatch, iv))
 			return
 		}
 		sb.inAdj[pos] = iu
@@ -285,34 +234,10 @@ func (sb *StreamBuilder) place(iu, iv VID) {
 	}
 	pos = atomic.AddInt64(&sb.outNext[iv], 1) - 1
 	if pos >= sb.outOff[iv+1] {
-		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, sb.externalOf(iv)))
+		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, iv))
 		return
 	}
 	sb.outAdj[pos] = iu
-}
-
-// externalOf maps a dense index back to its external ID for error text.
-func (sb *StreamBuilder) externalOf(v VID) int64 {
-	if sb.dense || int(v) >= len(sb.ids) {
-		return int64(v)
-	}
-	return sb.ids[v]
-}
-
-// intern resolves an external ID to its provisional index (pass 1 only).
-func (sb *StreamBuilder) intern(id int64) VID {
-	if p, ok := sb.index[id]; ok {
-		return p
-	}
-	p := VID(len(sb.ids))
-	sb.index[id] = p
-	sb.ids = append(sb.ids, id)
-	sb.outCnt = append(sb.outCnt, 0)
-	if sb.directed {
-		sb.inCnt = append(sb.inCnt, 0)
-	}
-	sb.n = int64(len(sb.ids))
-	return p
 }
 
 // Rewind ends the counting pass and prepares the fill pass: the caller
@@ -334,35 +259,9 @@ func (sb *StreamBuilder) Rewind() error {
 }
 
 // finalizeCounts turns the pass-1 degree counts into CSR offsets, fill
-// cursors and adjacency storage. Sparse mode first re-ranks vertices
-// into ascending external-ID order, matching Builder's interning.
+// cursors and adjacency storage.
 func (sb *StreamBuilder) finalizeCounts() {
 	n := int(sb.n)
-	if !sb.dense && n > 0 {
-		order := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(i, j int) bool { return sb.ids[order[i]] < sb.ids[order[j]] })
-		sortedIDs := make([]int64, n)
-		outCnt := make([]int64, n)
-		var inCnt []int64
-		if sb.directed {
-			inCnt = make([]int64, n)
-		}
-		for rank, prov := range order {
-			sortedIDs[rank] = sb.ids[prov]
-			outCnt[rank] = sb.outCnt[prov]
-			if sb.directed {
-				inCnt[rank] = sb.inCnt[prov]
-			}
-		}
-		sb.ids, sb.outCnt, sb.inCnt = sortedIDs, outCnt, inCnt
-		for rank, id := range sortedIDs {
-			sb.index[id] = VID(rank)
-		}
-	}
-
 	sb.outOff = prefixSum(sb.outCnt)
 	sb.outNext = startCursors(sb.outOff)
 	sb.outAdj = make([]VID, sb.outOff[n])
@@ -375,7 +274,7 @@ func (sb *StreamBuilder) finalizeCounts() {
 	}
 
 	peak := int64(8*(len(sb.outOff)+len(sb.outNext)+len(sb.inOff)+len(sb.inNext))) +
-		int64(4*(len(sb.outAdj)+len(sb.inAdj))) + int64(8*len(sb.ids))
+		int64(4*(len(sb.outAdj)+len(sb.inAdj)))
 	sb.gPeak.Set(peak)
 }
 
@@ -398,8 +297,7 @@ func startCursors(off []int64) []int64 {
 // Finish completes the build: in spill mode it first replays the spilled
 // stream as pass 2, then sorts and deduplicates every CSR row in
 // parallel, compacts the adjacency, and assembles the Graph. Spill files
-// are always removed. Matching Builder, an empty vertex set returns
-// ErrEmptyGraph.
+// are always removed.
 func (sb *StreamBuilder) Finish() (*Graph, error) {
 	defer sb.cleanup()
 	if err := sb.closeSinks(); err != nil {
@@ -421,20 +319,27 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 	sb.gSpill.Set(sb.spillBytes.Load())
 
 	n := int(sb.n)
-	if n == 0 {
-		return nil, ErrEmptyGraph
-	}
 	for v := 0; v < n; v++ {
 		if sb.outNext[v] != sb.outOff[v+1] {
 			return nil, fmt.Errorf("%w: vertex %d received %d of %d counted edges",
-				ErrStreamMismatch, sb.externalOf(VID(v)), sb.outNext[v]-sb.outOff[v], sb.outOff[v+1]-sb.outOff[v])
+				ErrStreamMismatch, v, sb.outNext[v]-sb.outOff[v], sb.outOff[v+1]-sb.outOff[v])
 		}
 		if sb.directed && sb.inNext[v] != sb.inOff[v+1] {
 			return nil, fmt.Errorf("%w: vertex %d received %d of %d counted in-edges",
-				ErrStreamMismatch, sb.externalOf(VID(v)), sb.inNext[v]-sb.inOff[v], sb.inOff[v+1]-sb.inOff[v])
+				ErrStreamMismatch, v, sb.inNext[v]-sb.inOff[v], sb.inOff[v+1]-sb.inOff[v])
 		}
 	}
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return sb.assemble(ids, nil)
+}
 
+// assemble sorts, deduplicates and compacts the filled rows and wraps
+// them in a Graph with the given ascending external-ID table and
+// interning map (nil: Lookup searches ids).
+func (sb *StreamBuilder) assemble(ids []int64, index map[int64]VID) (*Graph, error) {
 	sb.outOff, sb.outAdj = sortDedupCompact(sb.outOff, sb.outAdj, sb.outNext, sb.workers)
 	if sb.directed {
 		sb.inOff, sb.inAdj = sortDedupCompact(sb.inOff, sb.inAdj, sb.inNext, sb.workers)
@@ -451,17 +356,10 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 		m = int64(len(sb.outAdj)) / 2
 	}
 
-	ids := sb.ids
-	if sb.dense {
-		ids = make([]int64, n)
-		for i := range ids {
-			ids[i] = int64(i)
-		}
-	}
 	g := &Graph{
 		directed: sb.directed,
 		ids:      ids,
-		index:    sb.index, // nil in dense mode: Lookup falls back to search
+		index:    index,
 		outOff:   sb.outOff,
 		outAdj:   sb.outAdj,
 		m:        m,
@@ -566,7 +464,7 @@ type EdgeSink struct {
 	f       *os.File
 	bw      *bufio.Writer
 	written int64
-	scratch [16]byte
+	scratch [8]byte
 }
 
 // NewSink registers a new producer sink. In replay mode (no SpillDir)
@@ -602,15 +500,9 @@ func (s *EdgeSink) spill(u, v int64) {
 	if s.bw == nil {
 		return
 	}
-	rec := s.scratch[:8]
-	if s.sb.spillWide {
-		rec = s.scratch[:16]
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(u))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(v))
-	} else {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(u))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(v))
-	}
+	rec := s.scratch[:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(u))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(v))
 	if _, err := s.bw.Write(rec); err != nil {
 		s.sb.setErr(fmt.Errorf("graph: spill write: %w", err))
 		return
@@ -693,26 +585,16 @@ func (sb *StreamBuilder) replayOne(path string) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
-	recSize := 8
-	if sb.spillWide {
-		recSize = 16
-	}
-	var rec [16]byte
+	var rec [8]byte
 	for {
-		if _, err := io.ReadFull(br, rec[:recSize]); err != nil {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			if err != io.EOF {
 				sb.setErr(fmt.Errorf("graph: spill read: %w", err))
 			}
 			return
 		}
-		var u, v int64
-		if sb.spillWide {
-			u = int64(binary.LittleEndian.Uint64(rec[0:8]))
-			v = int64(binary.LittleEndian.Uint64(rec[8:16]))
-		} else {
-			u = int64(binary.LittleEndian.Uint32(rec[0:4]))
-			v = int64(binary.LittleEndian.Uint32(rec[4:8]))
-		}
+		u := int64(binary.LittleEndian.Uint32(rec[0:4]))
+		v := int64(binary.LittleEndian.Uint32(rec[4:8]))
 		sb.addEdge(u, v, nil)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // binaryBytes serializes a graph for bit-identity comparisons; the
-// binary format excludes the interning map, so dense (index-free) and
-// map-backed graphs with the same structure compare equal.
+// binary format excludes the interning map, so stream-built (index-free)
+// and map-backed graphs with the same structure compare equal.
 func binaryBytes(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -61,132 +61,74 @@ func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			n := 2 + rng.Intn(40)
 			pairs := randomPairs(rng, n, rng.Intn(200))
-
-			legacy := NewBuilder(directed)
-			for v := 0; v < n; v++ {
-				legacy.AddVertex(int64(v))
-			}
-			for _, p := range pairs {
-				legacy.AddEdge(p[0], p[1])
-			}
-			want, err := legacy.Build()
-			if err != nil {
-				t.Fatalf("legacy build: %v", err)
-			}
+			want := referenceFromPairs(t, directed, n, pairs)
 
 			got, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
 			if err != nil {
 				t.Fatalf("stream build (directed=%v trial=%d): %v", directed, trial, err)
 			}
 			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-				t.Fatalf("directed=%v trial=%d: stream CSR differs from legacy:\n got %s\nwant %s",
+				t.Fatalf("directed=%v trial=%d: stream CSR differs from reference:\n got %s\nwant %s",
 					directed, trial, edgeFingerprint(got), edgeFingerprint(want))
 			}
-		}
-	}
-}
 
-func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
-	// Arbitrary external IDs, including negatives and wide gaps, interned
-	// in ascending order exactly like Builder.
-	pairs := [][2]int64{
-		{100, -7}, {-7, 100}, {5, 5}, {1 << 40, 100}, {3, 1 << 40},
-		{-7, 3}, {100, -7}, {3, -7},
-	}
-	for _, directed := range []bool{false, true} {
-		legacy := NewBuilder(directed)
-		legacy.AddVertex(999) // isolated vertex
-		for _, p := range pairs {
-			legacy.AddEdge(p[0], p[1])
-		}
-		want, err := legacy.Build()
-		if err != nil {
-			t.Fatalf("legacy build: %v", err)
-		}
-
-		sb, err := NewStreamBuilder(directed, StreamOptions{})
-		if err != nil {
-			t.Fatalf("NewStreamBuilder: %v", err)
-		}
-		sb.AddVertex(999)
-		for _, p := range pairs {
-			sb.AddEdge(p[0], p[1])
-		}
-		if err := sb.Rewind(); err != nil {
-			t.Fatalf("Rewind: %v", err)
-		}
-		// Pass 2 may replay the multiset in any order.
-		for i := len(pairs) - 1; i >= 0; i-- {
-			sb.AddEdge(pairs[i][0], pairs[i][1])
-		}
-		got, err := sb.Finish()
-		if err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatalf("directed=%v: sparse stream differs:\n got %s\nwant %s",
-				directed, edgeFingerprint(got), edgeFingerprint(want))
-		}
-		// Sparse graphs keep the interning map; spot-check it.
-		if v, ok := got.Lookup(1 << 40); !ok || got.ExternalID(v) != 1<<40 {
-			t.Fatalf("Lookup(1<<40) = (%d,%v)", v, ok)
+			b := NewBuilder(directed)
+			for v := 0; v < n; v++ {
+				b.AddVertex(int64(v))
+			}
+			for _, p := range pairs {
+				b.AddEdge(p[0], p[1])
+			}
+			built, err := b.Build()
+			if err != nil {
+				t.Fatalf("Build (directed=%v trial=%d): %v", directed, trial, err)
+			}
+			if !bytes.Equal(binaryBytes(t, built), binaryBytes(t, want)) {
+				t.Fatalf("directed=%v trial=%d: Builder CSR differs from reference", directed, trial)
+			}
 		}
 	}
 }
 
 func TestStreamBuilderSpill(t *testing.T) {
 	for _, directed := range []bool{false, true} {
-		for _, dense := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(7))
-			n := 30
-			pairs := randomPairs(rng, n, 300)
+		rng := rand.New(rand.NewSource(7))
+		n := 30
+		pairs := randomPairs(rng, n, 300)
 
-			want, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
-			if err != nil {
-				t.Fatalf("replay build: %v", err)
-			}
+		want, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
+		if err != nil {
+			t.Fatalf("replay build: %v", err)
+		}
 
-			dir := t.TempDir()
-			opts := StreamOptions{SpillDir: dir}
-			if dense {
-				opts.DenseVertices = int64(n)
-			}
-			sb, err := NewStreamBuilder(directed, opts)
-			if err != nil {
-				t.Fatalf("NewStreamBuilder: %v", err)
-			}
-			if !dense {
-				for v := 0; v < n; v++ {
-					sb.AddVertex(int64(v))
-				}
-			}
-			spill := obs.NewRecorder().Gauge("spill")
-			sb.Instrument(nil, nil, spill, nil)
-			for _, p := range pairs {
-				sb.AddEdge(p[0], p[1])
-			}
-			got, err := sb.Finish()
-			if err != nil {
-				t.Fatalf("spill build (directed=%v dense=%v): %v", directed, dense, err)
-			}
-			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-				t.Fatalf("directed=%v dense=%v: spill build differs from replay build", directed, dense)
-			}
-			wantBytes := int64(len(pairs)-countSelfLoops(pairs)) * 16
-			if dense {
-				wantBytes /= 2
-			}
-			if spill.Value() != wantBytes {
-				t.Fatalf("spill gauge = %d, want %d", spill.Value(), wantBytes)
-			}
-			// Spill files are cleaned up by Finish.
-			left, err := filepath.Glob(filepath.Join(dir, "gpc-edges-*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(left) != 0 {
-				t.Fatalf("spill files left behind: %v", left)
-			}
+		dir := t.TempDir()
+		sb, err := NewStreamBuilder(directed, StreamOptions{DenseVertices: int64(n), SpillDir: dir})
+		if err != nil {
+			t.Fatalf("NewStreamBuilder: %v", err)
+		}
+		spill := obs.NewRecorder().Gauge("spill")
+		sb.Instrument(nil, nil, spill, nil)
+		for _, p := range pairs {
+			sb.AddEdge(p[0], p[1])
+		}
+		got, err := sb.Finish()
+		if err != nil {
+			t.Fatalf("spill build (directed=%v): %v", directed, err)
+		}
+		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
+			t.Fatalf("directed=%v: spill build differs from replay build", directed)
+		}
+		// One 8-byte record per non-loop edge.
+		if wantBytes := int64(len(pairs)-countSelfLoops(pairs)) * 8; spill.Value() != wantBytes {
+			t.Fatalf("spill gauge = %d, want %d", spill.Value(), wantBytes)
+		}
+		// Spill files are cleaned up by Finish.
+		left, err := filepath.Glob(filepath.Join(dir, "gpc-edges-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Fatalf("spill files left behind: %v", left)
 		}
 	}
 }
@@ -207,21 +149,13 @@ func TestStreamBuilderConcurrent(t *testing.T) {
 	const n, producers, perProducer = 64, 4, 500
 	// Deterministic per-producer edge sets.
 	edgeSets := make([][][2]int64, producers)
-	legacy := NewBuilder(false)
-	for v := 0; v < n; v++ {
-		legacy.AddVertex(int64(v))
-	}
+	var all [][2]int64
 	for p := range edgeSets {
 		rng := rand.New(rand.NewSource(int64(100 + p)))
 		edgeSets[p] = randomPairs(rng, n, perProducer)
-		for _, e := range edgeSets[p] {
-			legacy.AddEdge(e[0], e[1])
-		}
+		all = append(all, edgeSets[p]...)
 	}
-	want, err := legacy.Build()
-	if err != nil {
-		t.Fatalf("legacy build: %v", err)
-	}
+	want := referenceFromPairs(t, false, n, all)
 
 	t.Run("replay", func(t *testing.T) {
 		sb, err := NewStreamBuilder(false, StreamOptions{DenseVertices: n, Workers: producers})
@@ -251,7 +185,7 @@ func TestStreamBuilderConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatal("concurrent replay build differs from legacy")
+			t.Fatal("concurrent replay build differs from reference")
 		}
 	})
 
@@ -285,7 +219,7 @@ func TestStreamBuilderConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatal("concurrent spill build differs from legacy")
+			t.Fatal("concurrent spill build differs from reference")
 		}
 	})
 }
@@ -340,21 +274,13 @@ func TestStreamBuilderErrors(t *testing.T) {
 			t.Fatalf("got %v, want ErrStreamMismatch", err)
 		}
 	})
-	t.Run("unknown sparse pass-2 vertex", func(t *testing.T) {
-		sb, _ := NewStreamBuilder(false, StreamOptions{})
-		sb.AddEdge(10, 20)
-		if err := sb.Rewind(); err != nil {
-			t.Fatal(err)
-		}
-		sb.AddEdge(10, 30)
-		if _, err := sb.Finish(); !errors.Is(err, ErrStreamMismatch) {
-			t.Fatalf("got %v, want ErrStreamMismatch", err)
-		}
-	})
 	t.Run("empty", func(t *testing.T) {
-		sb, _ := NewStreamBuilder(false, StreamOptions{})
-		if _, err := sb.Finish(); !errors.Is(err, ErrEmptyGraph) {
-			t.Fatalf("got %v, want ErrEmptyGraph", err)
+		// The universe must be declared: an empty or negative one is
+		// rejected up front, so Finish never sees an empty graph.
+		for _, opts := range []StreamOptions{{}, {DenseVertices: -1}} {
+			if _, err := NewStreamBuilder(false, opts); !errors.Is(err, ErrStreamRange) {
+				t.Fatalf("%+v: got %v, want ErrStreamRange", opts, err)
+			}
 		}
 	})
 	t.Run("vertices only", func(t *testing.T) {
@@ -371,7 +297,7 @@ func TestStreamBuilderErrors(t *testing.T) {
 }
 
 // TestStreamBuilderLookupFallback covers the nil-index binary-search path
-// dense-mode graphs rely on.
+// stream-built graphs rely on.
 func TestStreamBuilderLookupFallback(t *testing.T) {
 	g, err := streamFromPairs(t, false, [][2]int64{{0, 1}, {1, 2}}, StreamOptions{DenseVertices: 5})
 	if err != nil {

@@ -156,8 +156,9 @@ func TestHavelHakimiNotGraphical(t *testing.T) {
 
 func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 	g := randomConnectedGraph(t, 10, 60, 400, false)
-	rng := rand.New(rand.NewSource(11))
-	est, err := EmpiricalExpectation(g, 20, 8, rng)
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+		Samples: 20, SwapsPerEdge: 8, RNG: rand.New(rand.NewSource(11)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 		members = append(members, graph.VID(v))
 	}
 	set := graph.SetOf(g, members)
-	emp := est(set)
+	emp := est.Expectation(set)
 	ana := ctx.ChungLuExpectation(set)
 	// The Chung–Lu expectation ignores simplicity constraints; agreement
 	// within 30% relative error is expected at this density.
@@ -180,13 +181,30 @@ func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 	}
 }
 
+// TestEmpiricalExpectationValidation pins how the estimator resolves
+// its zero-valued options: Samples 0 selects 32, and a nil RNG selects
+// the private stream seeded with Seed rather than failing.
 func TestEmpiricalExpectationValidation(t *testing.T) {
 	g := randomConnectedGraph(t, 12, 10, 10, false)
-	if _, err := EmpiricalExpectation(g, 0, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("samples=0 accepted")
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{SwapsPerEdge: 1, RNG: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EmpiricalExpectation(g, 1, 1, nil); !errors.Is(err, ErrNoRNG) {
-		t.Errorf("err = %v, want ErrNoRNG", err)
+	if est.Samples() != 32 {
+		t.Errorf("Samples() = %d with Samples 0, want the default 32", est.Samples())
+	}
+
+	set := graph.SetOf(g, []graph.VID{0, 1, 2, 3, 4})
+	seeded, err := NewEmpiricalEstimator(g, EstimatorOptions{Samples: 3, SwapsPerEdge: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := NewEmpiricalEstimator(g, EstimatorOptions{Samples: 3, SwapsPerEdge: 1, RNG: rand.New(rand.NewSource(5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := seeded.Expectation(set), explicit.Expectation(set); got != want {
+		t.Errorf("nil RNG with Seed 5: %v, want the explicit seed-5 stream's %v", got, want)
 	}
 }
 
@@ -250,13 +268,15 @@ func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 
 	var baseline []float64
 	for _, workers := range []int{1, 2, 8} {
-		est, err := EmpiricalExpectationWorkers(g, 6, 2, rand.New(rand.NewSource(123)), workers)
+		est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+			Samples: 6, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(123)), Workers: workers,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		vals := make([]float64, len(sets))
 		for i, set := range sets {
-			vals[i] = est(set)
+			vals[i] = est.Expectation(set)
 		}
 		if baseline == nil {
 			baseline = vals
@@ -274,10 +294,11 @@ func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 // estimator from multiple goroutines under -race.
 func TestEmpiricalExpectationEstimatorConcurrent(t *testing.T) {
 	g := randomConnectedGraph(t, 32, 60, 160, false)
-	est, err := EmpiricalExpectation(g, 4, 2, rand.New(rand.NewSource(7)))
+	e, err := NewEmpiricalEstimator(g, EstimatorOptions{Samples: 4, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := e.Func()
 	members := make([]graph.VID, 10)
 	for i := range members {
 		members[i] = graph.VID(i * 3)

@@ -166,52 +166,3 @@ func TestScaleConfigValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamBuilderMatchesBuilderOnSeedDatasets re-streams every seed
-// data set's edges through the streaming builder (sparse interning mode,
-// replay protocol) and requires the bit-identical binary serialization —
-// the ISSUE's cross-builder equivalence suite at dataset scale.
-func TestStreamBuilderMatchesBuilderOnSeedDatasets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed-dataset equivalence is slow; run without -short")
-	}
-	datasets := map[string]func() (*Dataset, error){
-		"gplus":       func() (*Dataset, error) { return GenerateEgo(DefaultEgoConfig()) },
-		"twitter":     func() (*Dataset, error) { return GenerateFollower(DefaultFollowerConfig()) },
-		"livejournal": func() (*Dataset, error) { return GenerateAGM("LiveJournal", DefaultLiveJournalConfig()) },
-		"orkut":       func() (*Dataset, error) { return GenerateAGM("Orkut", DefaultOrkutConfig()) },
-		"crawl":       func() (*Dataset, error) { return GenerateCrawl(DefaultCrawlConfig()) },
-	}
-	for _, name := range []string{"gplus", "twitter", "livejournal", "orkut", "crawl"} {
-		ds, err := datasets[name]()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		g := ds.Graph
-		sb, err := graph.NewStreamBuilder(g.Directed(), graph.StreamOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		stream := func() {
-			for _, id := range g.ExternalIDs() {
-				sb.AddVertex(id)
-			}
-			g.Edges(func(e graph.Edge) bool {
-				sb.AddEdge(g.ExternalID(e.From), g.ExternalID(e.To))
-				return true
-			})
-		}
-		stream()
-		if err := sb.Rewind(); err != nil {
-			t.Fatalf("%s: Rewind: %v", name, err)
-		}
-		stream()
-		got, err := sb.Finish()
-		if err != nil {
-			t.Fatalf("%s: Finish: %v", name, err)
-		}
-		if !bytes.Equal(graphBytes(t, got), graphBytes(t, g)) {
-			t.Fatalf("%s: streaming rebuild is not bit-identical to the Builder graph", name)
-		}
-	}
-}
