@@ -8,7 +8,7 @@ BENCHTIME ?= 1x
 # make profile output directory.
 PROFILE_DIR ?= profile
 
-.PHONY: all build test race vet lint analyze bench bench-scale bench-tri bench-ncp scale-smoke profile fuzz cover-serve cover-detect loadsmoke clean
+.PHONY: all build test race vet lint analyze bench bench-scale bench-tri bench-ncp scale-smoke profile report-check fuzz cover-serve cover-detect loadsmoke clean
 
 all: build vet lint test
 
@@ -109,13 +109,26 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target): the Builder's
-# messy-edge handling and the Overlay's exact-degree fill are the two
-# inputs-from-outside surfaces of the graph core.
+# Rerun the default full report (scale 1, seed 1, no manifest) and
+# fail on any byte difference from the committed results_full_run.txt,
+# so the published numbers cannot drift from the code.
+REPORT_OUT ?= $${TMPDIR:-/tmp}/gpc-report-check.txt
+report-check:
+	$(GO) run ./cmd/circlebench -manifest '' > $(REPORT_OUT)
+	cmp $(REPORT_OUT) results_full_run.txt
+
+# Coverage-guided fuzz smoke (FUZZTIME per target) over the
+# inputs-from-outside surfaces: the Builder's messy-edge handling, the
+# Overlay's exact-degree fill, the sweep cut over arbitrary orderings,
+# and the SNAP edge-list, community and ego-circle file readers.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuilder -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzOverlayFillFromEdges -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepCut$$' -fuzztime=$(FUZZTIME) ./internal/graphalgo/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 
 # Coverage floor for the serving layer: internal/serve carries the
 # backpressure/coalescing/drain state machine and must stay >= 80%.

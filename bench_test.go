@@ -132,7 +132,7 @@ func BenchmarkFig3DegreeFit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FitDegrees(gp.Graph, 0); err != nil {
+		if _, err := core.FitInDegree(gp.Graph); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -606,9 +606,9 @@ func BenchmarkPowerLawFit(b *testing.B) {
 
 // --- Concurrent experiment engine benchmarks ----------------------------
 
-// runAllBenchSuite builds a dedicated pre-generated suite so RunAll
-// benchmarks time the experiments, not the generators, and so the
-// serial/parallel variants start from identical cache states.
+// runAllBenchSuite builds a dedicated pre-generated suite so the
+// RunAllSerial/RunAllParallel benchmarks time the experiments, not the
+// generators, and so both variants start from identical cache states.
 func runAllBenchSuite(b *testing.B) *core.Suite {
 	b.Helper()
 	s := core.NewSuite(core.SuiteOptions{

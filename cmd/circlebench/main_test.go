@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpluscircles/internal/experiments"
@@ -53,6 +55,14 @@ func TestRunSingleExperiment(t *testing.T) {
 	exps := m.SpansNamed("experiment")
 	if len(exps) != 1 || exps[0].Attrs["id"] != "table3" {
 		t.Errorf("experiment spans = %+v, want exactly table3", exps)
+	}
+	// The summary labels each memoized stage with its data set and seed.
+	var summary bytes.Buffer
+	if err := summarizeManifest(&summary, manifest); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(summary.String(), "generate/gplus seed=1 ") {
+		t.Errorf("manifest summary lacks the seed-labelled stage:\n%s", summary.String())
 	}
 }
 

@@ -68,7 +68,10 @@ func summarizeManifest(w io.Writer, path string) error {
 			if ds := sp.Attrs["dataset"]; ds != "" {
 				label += "/" + ds
 			}
-			fmt.Fprintf(w, "  %-22s %12s\n", label, fmtNs(sp.DurNs))
+			if seed := sp.Attrs["seed"]; seed != "" {
+				label += " seed=" + seed
+			}
+			fmt.Fprintf(w, "  %-30s %12s\n", label, fmtNs(sp.DurNs))
 		}
 	}
 

@@ -41,11 +41,10 @@ func run() error {
 	}
 
 	for _, ds := range []*synth.Dataset{ego, crawl} {
-		exp, err := core.FitDegrees(ds.Graph, 0)
+		f, err := core.FitInDegree(ds.Graph)
 		if err != nil {
 			return fmt.Errorf("fit %s: %w", ds.Name, err)
 		}
-		f := exp.Fit
 		tbl := report.NewTable(
 			fmt.Sprintf("%s in-degree fit (xmin=%d)", ds.Name, f.Xmin),
 			"Model", "Parameters", "KS")

@@ -25,7 +25,7 @@ import (
 var ErrNoRNG = errors.New("core: nil RNG")
 
 // GraphProfile is one data-set column of Table II: the structural
-// statistics of Section IV-A.
+// statistics of Section IV-A. Suite.Profile memoizes one per data set.
 type GraphProfile struct {
 	Name     string
 	Vertices int
@@ -58,7 +58,12 @@ type GraphProfile struct {
 
 	// Degree-distribution verdict (Section IV-A1): the winning family of
 	// the CSN comparison on the in-degree sequence, with its parameters.
+	// Nil when the in-degrees admit no fit (e.g. a regular graph).
 	DegreeFit *powerlaw.FitResult
+
+	// InDegreeCDF is the empirical CDF of the positive in-degrees — the
+	// series plotted in Fig. 3. Set together with DegreeFit.
+	InDegreeCDF stats.CDF
 
 	// Clustering (Section IV-A2): summary of sampled local clustering
 	// coefficients.
@@ -78,10 +83,6 @@ type ProfileOptions struct {
 	// ClusteringSamples is the number of vertices sampled for the local
 	// clustering coefficient distribution. Default 2000.
 	ClusteringSamples int
-	// FitXmin, when > 0, fixes the cutoff of the degree fit; otherwise
-	// the full body (xmin = smallest positive degree) is fitted, matching
-	// Fig. 3 which fits the whole in-degree distribution.
-	FitXmin int
 }
 
 func (o ProfileOptions) withDefaults() ProfileOptions {
@@ -95,10 +96,10 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 }
 
 // CharacterizeGraph computes a GraphProfile, the building block of
-// Tables II and III. The independent sections — the distance BFS sweep,
-// the clustering samples, the degree fit, and the structural scalars
-// (assortativity, k-core, Gini, reciprocity) — run concurrently; each
-// sampled section owns a child RNG seeded from rng up front, so the
+// Tables II and III and Fig. 3. The independent sections — the distance
+// BFS sweep, the clustering samples, the degree fit, and the structural
+// scalars (assortativity, k-core, Gini, reciprocity) — run concurrently;
+// each sampled section owns a child RNG seeded from rng up front, so the
 // profile is deterministic for a given rng regardless of scheduling.
 func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *rand.Rand) (*GraphProfile, error) {
 	if rng == nil {
@@ -154,7 +155,7 @@ func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		fit, err := fitInDegree(g, opts.FitXmin)
+		fit, err := FitInDegree(g)
 		if err != nil {
 			// Degenerate degree data (e.g. regular graphs) is not fatal
 			// for a profile; the fit is simply absent.
@@ -163,7 +164,19 @@ func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 			}
 			return
 		}
+		var positive []float64
+		for _, d := range g.InDegreeSequence() {
+			if d > 0 {
+				positive = append(positive, float64(d))
+			}
+		}
+		cdf, err := stats.NewCDF(positive)
+		if err != nil {
+			fitErr = fmt.Errorf("in-degree CDF: %w", err)
+			return
+		}
 		p.DegreeFit = fit
+		p.InDegreeCDF = cdf
 	}()
 
 	wg.Add(1)
@@ -197,9 +210,9 @@ func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 	return p, nil
 }
 
-// fitInDegree runs the CSN comparison on the in-degree sequence. With an
-// explicit xmin the models are compared at that cutoff. With xmin <= 0
-// the full decision procedure runs:
+// FitInDegree runs the CSN comparison on the in-degree sequence, the
+// Fig. 3 / Table II verdict; experiments read it from Suite.Profile.
+// The decision procedure:
 //
 //  1. Fit all three families over the whole body (xmin = smallest
 //     positive degree). If log-normal wins AND its fitted mode
@@ -209,11 +222,8 @@ func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 //  2. Otherwise the log-normal is monotone-degenerate (mimicking a heavy
 //     tail), so the canonical CSN tail scan (xmin by KS minimization)
 //     decides — the regime of the Magno crawl, where power law wins.
-func fitInDegree(g *graph.Graph, xmin int) (*powerlaw.FitResult, error) {
+func FitInDegree(g *graph.Graph) (*powerlaw.FitResult, error) {
 	degrees := g.InDegreeSequence()
-	if xmin > 0 {
-		return powerlaw.FitAt(degrees, xmin)
-	}
 	minPos := 0
 	for _, d := range degrees {
 		if d > 0 && (minPos == 0 || d < minPos) {
@@ -237,34 +247,6 @@ func fitInDegree(g *graph.Graph, xmin int) (*powerlaw.FitResult, error) {
 		return scan, nil
 	}
 	return body, nil
-}
-
-// DegreeFitExperiment is the Fig. 3 experiment on its own: fit the three
-// families to the in-degree distribution and report the verdict plus the
-// CCDF series for plotting.
-type DegreeFitExperiment struct {
-	Fit *powerlaw.FitResult
-	// InDegreeCDF is the empirical CDF of positive in-degrees.
-	InDegreeCDF stats.CDF
-}
-
-// FitDegrees runs the Fig. 3 experiment.
-func FitDegrees(g *graph.Graph, xmin int) (*DegreeFitExperiment, error) {
-	fit, err := fitInDegree(g, xmin)
-	if err != nil {
-		return nil, fmt.Errorf("degree fit: %w", err)
-	}
-	var positive []float64
-	for _, d := range g.InDegreeSequence() {
-		if d > 0 {
-			positive = append(positive, float64(d))
-		}
-	}
-	cdf, err := stats.NewCDF(positive)
-	if err != nil {
-		return nil, fmt.Errorf("in-degree CDF: %w", err)
-	}
-	return &DegreeFitExperiment{Fit: fit, InDegreeCDF: cdf}, nil
 }
 
 // ClusteringExperiment is Fig. 4: the CDF of local clustering

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -351,18 +352,60 @@ func TestCirclesVsRandomValidation(t *testing.T) {
 	}
 }
 
-func TestFitDegreesExperiment(t *testing.T) {
+// TestProfileDegreeFit checks that the memoized profile carries the
+// Fig. 3 data: the same fit FitInDegree computes, plus the CDF of the
+// positive in-degrees.
+func TestProfileDegreeFit(t *testing.T) {
 	s := testSuite()
 	gp, err := s.GPlus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := FitDegrees(gp.Graph, 0)
+	prof, err := s.fittedProfile(gp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Fit.Best == "" || exp.InDegreeCDF.Len() == 0 {
-		t.Errorf("incomplete experiment: %+v", exp)
+	fit, err := FitInDegree(gp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prof.DegreeFit, fit) {
+		t.Errorf("profile fit %+v, FitInDegree %+v", prof.DegreeFit, fit)
+	}
+	minPos, maxDeg := 0, 0
+	for _, d := range gp.Graph.InDegreeSequence() {
+		if d > 0 && (minPos == 0 || d < minPos) {
+			minPos = d
+		}
+		if d > maxDeg {
+			maxDeg = d
+		}
+	}
+	cdf := prof.InDegreeCDF
+	if cdf.Len() == 0 || cdf.X[0] != float64(minPos) || cdf.X[cdf.Len()-1] != float64(maxDeg) {
+		t.Errorf("InDegreeCDF spans %v, want positive in-degrees %d..%d", cdf.X, minPos, maxDeg)
+	}
+}
+
+// TestFittedProfileNoFit: a graph whose in-degrees admit no fit still
+// profiles, but the Fig. 3 readers get an error naming the data set.
+func TestFittedProfileNoFit(t *testing.T) {
+	// A directed cycle: every in-degree is 1.
+	g, err := graph.FromEdges(true, [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &synth.Dataset{Name: "cycle", Graph: g}
+	s := testSuite()
+	prof, err := s.Profile(ds)
+	if err != nil {
+		t.Fatalf("Profile: %v", err)
+	}
+	if prof.DegreeFit != nil || prof.InDegreeCDF.Len() != 0 {
+		t.Fatalf("fit = %+v, CDF len %d; want none", prof.DegreeFit, prof.InDegreeCDF.Len())
+	}
+	if _, err := s.fittedProfile(ds); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("fittedProfile err = %v, want an error naming the data set", err)
 	}
 }
 

@@ -37,19 +37,19 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// fig3: in-degree CCDF plus the fitted log-normal CCDF.
-	fitExp, err := FitDegrees(gp.Graph, 0)
+	prof, err := s.fittedProfile(gp)
 	if err != nil {
 		return err
 	}
-	dataY := make([]float64, len(fitExp.InDegreeCDF.X))
-	fitY := make([]float64, len(fitExp.InDegreeCDF.X))
-	for i, x := range fitExp.InDegreeCDF.X {
-		dataY[i] = 1 - fitExp.InDegreeCDF.Y[i]
-		fitY[i] = 1 - fitExp.Fit.LogNormal.CDF(int(x))
+	dataY := make([]float64, len(prof.InDegreeCDF.X))
+	fitY := make([]float64, len(prof.InDegreeCDF.X))
+	for i, x := range prof.InDegreeCDF.X {
+		dataY[i] = 1 - prof.InDegreeCDF.Y[i]
+		fitY[i] = 1 - prof.DegreeFit.LogNormal.CDF(int(x))
 	}
 	if err := writeCSVFile(filepath.Join(dir, "fig3.csv"), []report.Series{
-		{Name: "data", X: fitExp.InDegreeCDF.X, Y: dataY},
-		{Name: "lognormal-fit", X: fitExp.InDegreeCDF.X, Y: fitY},
+		{Name: "data", X: prof.InDegreeCDF.X, Y: dataY},
+		{Name: "lognormal-fit", X: prof.InDegreeCDF.X, Y: fitY},
 	}); err != nil {
 		return err
 	}

@@ -263,11 +263,11 @@ func runFig3(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	exp, err := FitDegrees(gp.Graph, 0)
+	prof, err := s.fittedProfile(gp)
 	if err != nil {
 		return err
 	}
-	f := exp.Fit
+	f := prof.DegreeFit
 	tbl := report.NewTable("In-degree model comparison (CSN)", "Model", "Params", "KS", "LR verdicts")
 	tbl.AddRow("power-law", fmt.Sprintf("alpha=%.3f", f.PowerLaw.Alpha),
 		report.Fmt(f.KSPowerLaw),
@@ -286,10 +286,10 @@ func runFig3(s *Suite, w io.Writer) error {
 	}
 
 	// CCDF series on log-log axes, like the paper's Fig. 3.
-	ccdfX := exp.InDegreeCDF.X
+	ccdfX := prof.InDegreeCDF.X
 	ccdfY := make([]float64, len(ccdfX))
 	for i := range ccdfX {
-		ccdfY[i] = 1 - exp.InDegreeCDF.Y[i]
+		ccdfY[i] = 1 - prof.InDegreeCDF.Y[i]
 		if ccdfY[i] <= 0 {
 			ccdfY[i] = 1e-9
 		}

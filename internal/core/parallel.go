@@ -27,7 +27,7 @@ import (
 // the atomic unit). The emitted report then holds the completed prefix
 // in registry order followed by the wrapped ctx error.
 //
-// Error semantics mirror RunAll: the first failing experiment in
+// Error semantics mirror RunAllCtx: the first failing experiment in
 // registry order aborts the report after its (possibly partial) section
 // has been written; later sections are discarded.
 func (s *Suite) RunAllParallelCtx(ctx context.Context, w io.Writer, workers int) error {

@@ -156,8 +156,8 @@ func renderRobustness(res *RobustnessResult, scale float64, w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "\nClaims that failed on some seed:"); err != nil {
 		return fmt.Errorf("robustness note: %w", err)
 	}
-	// Sorted for deterministic output (RunAllParallel asserts the report
-	// is byte-identical to the serial run).
+	// Sorted for deterministic output (TestRunAllParallelMatchesSerial
+	// asserts the parallel report is byte-identical to the serial run).
 	ids := make([]string, 0, len(res.FailuresByClaim))
 	for id := range res.FailuresByClaim {
 		ids = append(ids, id)

@@ -149,8 +149,14 @@ func TestRunExperimentCtxInstruments(t *testing.T) {
 	if len(exps) != 1 || exps[0].Attrs["id"] != "fig6" {
 		t.Fatalf("experiment spans = %+v", exps)
 	}
-	if len(m.SpansNamed("generate")) == 0 {
+	gens := m.SpansNamed("generate")
+	if len(gens) == 0 {
 		t.Error("no generate stage spans recorded")
+	}
+	for _, sp := range gens {
+		if sp.Attrs["dataset"] == "" || sp.Attrs["seed"] != "5" {
+			t.Errorf("generate span attrs = %v, want a dataset and seed 5", sp.Attrs)
+		}
 	}
 	found := false
 	for name, tm := range m.Metrics.Timers {

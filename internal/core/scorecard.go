@@ -21,7 +21,7 @@ type Claim struct {
 
 // Scorecard evaluates every headline claim of the paper programmatically
 // and returns the checklist. This is the one-stop verification the
-// integration tests assert piecewise; RunAll renders it last.
+// integration tests assert piecewise; the full report renders it last.
 func Scorecard(s *Suite) ([]Claim, error) {
 	var claims []Claim
 
@@ -40,19 +40,19 @@ func Scorecard(s *Suite) ([]Claim, error) {
 
 	// Claim 1 (Fig. 3): ego-joined in-degree is log-normal, not
 	// power-law.
-	gpFit, err := FitDegrees(gp.Graph, 0)
+	prof, err := s.fittedProfile(gp)
 	if err != nil {
 		return nil, err
 	}
 	claims = append(claims, Claim{
 		ID:        "fig3",
 		Statement: "Ego-joined in-degree fits a log-normal, not a power law",
-		Measured:  fmt.Sprintf("best family: %s", gpFit.Fit.Best),
-		Holds:     gpFit.Fit.Best == "log-normal",
+		Measured:  fmt.Sprintf("best family: %s", prof.DegreeFit.Best),
+		Holds:     prof.DegreeFit.Best == "log-normal",
 	})
 
 	// Claim 2 (Table II): the BFS crawl is power-law and much sparser.
-	crawlFit, err := FitDegrees(crawl.Graph, 0)
+	crawlProf, err := s.fittedProfile(crawl)
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +60,8 @@ func Scorecard(s *Suite) ([]Claim, error) {
 		ID:        "table2",
 		Statement: "BFS-crawl in-degree is power-law; ego-joined graph is far denser",
 		Measured: fmt.Sprintf("crawl: %s; mean degree %.1f vs %.1f",
-			crawlFit.Fit.Best, crawl.Graph.MeanDegree(), gp.Graph.MeanDegree()),
-		Holds: crawlFit.Fit.Best == "power-law" &&
+			crawlProf.DegreeFit.Best, crawl.Graph.MeanDegree(), gp.Graph.MeanDegree()),
+		Holds: crawlProf.DegreeFit.Best == "power-law" &&
 			gp.Graph.MeanDegree() > 1.5*crawl.Graph.MeanDegree(),
 	})
 
@@ -81,10 +81,6 @@ func Scorecard(s *Suite) ([]Claim, error) {
 	// scale-aware: small reductions of the data set are relatively
 	// denser, pushing clustering up, so below half scale only "moderate
 	// clustering, far from 0 and 1" is checked.
-	prof, err := s.Profile(gp)
-	if err != nil {
-		return nil, err
-	}
 	ccLo, ccHi := 0.3, 0.65
 	if s.opts.Scale < 0.5 {
 		ccLo, ccHi = 0.2, 0.8

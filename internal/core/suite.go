@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"gpluscircles/internal/graph"
@@ -114,10 +115,11 @@ func (s *Suite) Recorder() *obs.Recorder { return s.opts.Recorder }
 // (data-set generation, graph profiling). Stages are triggered by
 // whichever experiment needs them first and are shared by all others,
 // so they are recorded flat rather than under any one experiment span;
-// the dataset attr ties them back to their artifact.
+// the dataset and seed attrs tie them back to their artifact.
 func (s *Suite) stageSpan(stage, dataset string) *obs.Span {
 	sp := s.opts.Recorder.StartSpan(stage)
 	sp.SetAttr("dataset", dataset)
+	sp.SetAttr("seed", strconv.FormatInt(s.opts.Seed, 10))
 	return sp
 }
 
@@ -327,8 +329,9 @@ func profileStream(name string) int64 {
 }
 
 // Profile returns the memoized CharacterizeGraph result for the data
-// set. Table II and Fig. 4 share one profile per graph instead of
-// re-running the BFS sweeps and clustering samples.
+// set. Table II, Fig. 3, Fig. 4 and the scorecard share one profile per
+// graph instead of re-running the degree fit, the BFS sweeps and the
+// clustering samples.
 func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
 	s.mu.Lock()
 	if s.profiles == nil {
@@ -345,6 +348,20 @@ func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
 		c.profile, c.err = CharacterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)))
 	})
 	return c.profile, c.err
+}
+
+// fittedProfile is Profile for readers of the in-degree fit (Fig. 3,
+// the scorecard, the CSV export): a profile without one is an error
+// naming the data set.
+func (s *Suite) fittedProfile(ds *synth.Dataset) (*GraphProfile, error) {
+	p, err := s.Profile(ds)
+	if err != nil {
+		return nil, err
+	}
+	if p.DegreeFit == nil {
+		return nil, fmt.Errorf("degree fit %s: in-degrees admit no fit", ds.Name)
+	}
+	return p, nil
 }
 
 // ScoreContext returns the memoized analytic scoring context for the
